@@ -7,12 +7,12 @@ GO ?= go
 # internal/search + internal/dfg + internal/sched.
 COVER_MIN ?= 70
 
-.PHONY: check build vet test test-short fairness cluster-e2e bench bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
+.PHONY: check build vet test perfbench-test test-short fairness cluster-e2e bench bench-smoke bench-record bench-guard fuzz-smoke lint cover cover-check run-flexerd
 
 # The committed benchmark record the regression guard compares against.
 BENCH_BASELINE ?= BENCH_0009.json
 
-check: build vet test
+check: build vet test perfbench-test
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,11 @@ vet:
 
 test:
 	$(GO) test -race ./...
+
+# The benchmark harness's self-tests. perfbench is a nested module, so
+# `go test ./...` at the root never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Faster inner-loop variant (skips the slower network-level tests).
 test-short:

@@ -172,43 +172,30 @@ func Tilings(l Conv, a Arch, b Budget) []Factors {
 // ScheduleLayer generates an out-of-order schedule for one layer under
 // one tiling.
 func ScheduleLayer(l Conv, f Factors, opts Options) (*Schedule, error) {
-	return scheduleWithOrder(l, f, opts, nil)
+	return schedule(l, f, nil, opts)
 }
 
 // ScheduleStatic generates the fixed loop-order schedule of df for one
 // layer under one tiling.
 func ScheduleStatic(l Conv, f Factors, df Dataflow, opts Options) (*Schedule, error) {
+	return schedule(l, f, &df, opts)
+}
+
+// schedule builds l's dataflow graph under tiling f and schedules it
+// with the scheduler configuration opts imply: out of order, or in
+// df's fixed loop order when df is non-nil.
+func schedule(l Conv, f Factors, df *Dataflow, opts Options) (*Schedule, error) {
 	grid, err := tile.NewGrid(l, f)
 	if err != nil {
 		return nil, err
 	}
 	m := model.New(opts.Arch)
 	graph := dfg.Build(grid, m)
-	return sched.Schedule(graph, schedConfig(opts, m, loop.Order(graph, df)))
-}
-
-func scheduleWithOrder(l Conv, f Factors, opts Options, order []int) (*Schedule, error) {
-	grid, err := tile.NewGrid(l, f)
-	if err != nil {
-		return nil, err
+	cfg := opts.SchedConfig(m)
+	if df != nil {
+		cfg.Order = loop.Order(graph, *df)
 	}
-	m := model.New(opts.Arch)
-	graph := dfg.Build(grid, m)
-	return sched.Schedule(graph, schedConfig(opts, m, order))
-}
-
-func schedConfig(opts Options, m model.Model, order []int) sched.Config {
-	return sched.Config{
-		Arch:             opts.Arch,
-		Model:            m,
-		Priority:         opts.Priority,
-		MemPolicy:        opts.MemPolicy,
-		DisableInPlace:   opts.DisableInPlace,
-		DisablePruning:   opts.DisablePruning,
-		MaxReadyWindow:   opts.Budget.MaxReadyWindow,
-		MaxCandidateSets: opts.Budget.MaxCandidateSets,
-		Order:            order,
-	}
+	return sched.Schedule(graph, cfg)
 }
 
 // SearchLayer explores tilings and dataflows for one layer and returns

@@ -160,6 +160,24 @@ type Options struct {
 	sem chan struct{}
 }
 
+// SchedConfig returns the scheduler configuration these options imply
+// for one GetSchedule run of Algorithm 1 on hardware model m: the arch,
+// the priority and memory policies, the ablation switches and the
+// budget's per-step bounds. Callers set Order, Hint or CutoffCycles on
+// the returned copy.
+func (o Options) SchedConfig(m model.Model) sched.Config {
+	return sched.Config{
+		Arch:             o.Arch,
+		Model:            m,
+		Priority:         o.Priority,
+		MemPolicy:        o.MemPolicy,
+		DisableInPlace:   o.DisableInPlace,
+		DisablePruning:   o.DisablePruning,
+		MaxReadyWindow:   o.Budget.MaxReadyWindow,
+		MaxCandidateSets: o.Budget.MaxCandidateSets,
+	}
+}
+
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -427,16 +445,7 @@ func RepairResult(l layer.Conv, r *sched.Result, plan *fault.Plan, opts Options)
 		return nil, err
 	}
 	m := model.New(opts.Arch)
-	return sched.Repair(dfg.Build(grid, m), r, plan, sched.Config{
-		Arch:             opts.Arch,
-		Model:            m,
-		Priority:         opts.Priority,
-		MemPolicy:        opts.MemPolicy,
-		DisableInPlace:   opts.DisableInPlace,
-		DisablePruning:   opts.DisablePruning,
-		MaxReadyWindow:   opts.Budget.MaxReadyWindow,
-		MaxCandidateSets: opts.Budget.MaxCandidateSets,
-	})
+	return sched.Repair(dfg.Build(grid, m), r, plan, opts.SchedConfig(m))
 }
 
 // enumerateWithEscalation relaxes the op-count cap until at least one
@@ -504,16 +513,7 @@ func scheduleTiling(ctx context.Context, l layer.Conv, f tile.Factors, m model.M
 		return Candidate{}, 0, err
 	}
 	graph := dfg.Build(grid, m)
-	base := sched.Config{
-		Arch:             opts.Arch,
-		Model:            m,
-		Priority:         opts.Priority,
-		MemPolicy:        opts.MemPolicy,
-		DisableInPlace:   opts.DisableInPlace,
-		DisablePruning:   opts.DisablePruning,
-		MaxReadyWindow:   opts.Budget.MaxReadyWindow,
-		MaxCandidateSets: opts.Budget.MaxCandidateSets,
-	}
+	base := opts.SchedConfig(m)
 	metric := opts.Metric
 	aborted := 0
 	c := Candidate{Factors: f}

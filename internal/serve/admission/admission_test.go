@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -87,28 +86,44 @@ func TestWeightedFairness(t *testing.T) {
 	// scheduled).
 	blocker := mustAcquire(t, s, Request{Tenant: "warmup"})
 
+	// Two workers per tenant keep the pool saturated. Each hands its
+	// grant to the test goroutine and queues again at once; the test
+	// goroutine releases the grant only once all four workers are
+	// queued, so both tenants have waiters whenever the scheduler
+	// picks. (Releasing at once lets a tenant's queue run empty while
+	// its worker re-queues, and the work-conserving scheduler then
+	// rightly serves the other tenant.)
 	const totalGrants = 400
-	var granted atomic.Int64
+	grants := make(chan *Grant)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, tenant := range []string{"heavy", "light"} {
-		// Two workers per tenant keep the pool saturated: whenever a
-		// grant releases, both tenants always have a queued waiter.
 		for w := 0; w < 2; w++ {
 			wg.Add(1)
 			go func(tenant string) {
 				defer wg.Done()
-				for granted.Load() < totalGrants {
+				for {
 					g := mustAcquire(t, s, Request{Tenant: tenant})
-					granted.Add(1)
-					// Charge exactly one search-second per grant so the
-					// served ratio is deterministic.
-					g.ReleaseCharge(1)
+					select {
+					case grants <- g:
+					case <-stop:
+						g.ReleaseCharge(0)
+						return
+					}
 				}
 			}(tenant)
 		}
 	}
 	waitFor(t, "all workers to queue", func() bool { return s.Stats().Queued == 4 })
 	blocker.ReleaseCharge(0)
+	for i := 0; i < totalGrants; i++ {
+		g := <-grants
+		waitFor(t, "all workers to queue", func() bool { return s.Stats().Queued == 4 })
+		// Charge exactly one search-second per grant so the served
+		// ratio is deterministic.
+		g.ReleaseCharge(1)
+	}
+	close(stop)
 	wg.Wait()
 
 	var heavy, light float64

@@ -315,16 +315,27 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	return c.withRetry(ctx, func() (error, bool) {
 		actx, cancel := c.attemptCtx(ctx)
 		defer cancel()
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, c.baseURL()+path, bytes.NewReader(body))
+		req, err := c.scheduleRequest(actx, path, body)
 		if err != nil {
-			return fmt.Errorf("serve client: %w", err), false
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if c.Tenant != "" {
-			req.Header.Set("X-Flexer-Tenant", c.Tenant)
+			return err, false
 		}
 		return c.do(req, out), true
 	})
+}
+
+// scheduleRequest builds one POST of a marshalled schedule body to
+// path (which may carry a query) on the current peer, naming the
+// client's tenant when it has one.
+func (c *Client) scheduleRequest(ctx context.Context, path string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL()+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, fmt.Errorf("serve client: %w", err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if c.Tenant != "" {
+		req.Header.Set(tenantHeader, c.Tenant)
+	}
+	return req, nil
 }
 
 // get issues one GET and decodes the JSON response into out, retrying
@@ -383,13 +394,9 @@ func (c *Client) stream(ctx context.Context, path string, in any, onProgress fun
 // streamOnce runs one streaming attempt, reporting whether any event —
 // progress or terminal — was delivered to the caller before failure.
 func (c *Client) streamOnce(ctx context.Context, path string, body []byte, onProgress func(StreamEvent)) (StreamEvent, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL()+path+"?stream=1", bytes.NewReader(body))
+	req, err := c.scheduleRequest(ctx, path+"?stream=1", body)
 	if err != nil {
-		return StreamEvent{}, false, fmt.Errorf("serve client: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.Tenant != "" {
-		req.Header.Set("X-Flexer-Tenant", c.Tenant)
+		return StreamEvent{}, false, err
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {

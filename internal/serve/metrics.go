@@ -102,14 +102,15 @@ func (m *metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // search.
 var latencyBoundsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000}
 
-// latencyHist is a fixed-bucket latency histogram implementing
-// expvar.Var.
 // latencyEWMAAlpha weights the newest observation in the decayed mean:
 // ~0.3 means the last handful of requests dominate, so one cold
 // multi-minute sweep stops distorting Retry-After hints after a few
 // fast requests instead of for the life of the process.
 const latencyEWMAAlpha = 0.3
 
+// latencyHist is a fixed-bucket latency histogram implementing
+// expvar.Var. The schedule endpoints observe each successful request
+// from its entry to its response, queueing for a worker slot included.
 type latencyHist struct {
 	mu      sync.Mutex
 	count   int64

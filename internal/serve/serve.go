@@ -59,6 +59,8 @@ import (
 	"time"
 
 	"github.com/flexer-sched/flexer/internal/cluster"
+	"github.com/flexer-sched/flexer/internal/layer"
+	"github.com/flexer-sched/flexer/internal/nets"
 	"github.com/flexer-sched/flexer/internal/search"
 	"github.com/flexer-sched/flexer/internal/serve/admission"
 )
@@ -310,32 +312,20 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // handleLayer serves POST /v1/schedule/layer.
 func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var req LayerRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	cfg, err := resolveArch(req.Arch, req.CustomArch)
+	opts, err := s.resolveSearch(req.Arch, req.CustomArch, req.Options, req.FaultPlan)
+	var l layer.Conv
+	if err == nil {
+		l, err = resolveLayer(req)
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	l, err := resolveLayer(req)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts, err := resolveOptions(req.Options, cfg)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts.FaultPlan, err = resolveFaultPlan(req.FaultPlan, cfg)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts.Cache = s.cache
-	opts.Workers = s.cfg.SearchParallelism
 
 	// Cluster routing keys off the exact cache fingerprint, so
 	// identical layer requests coalesce onto one home peer's search.
@@ -346,71 +336,35 @@ func (s *Server) handleLayer(w http.ResponseWriter, r *http.Request) {
 
 	// Single-layer requests are the latency-bound class: they overtake
 	// queued network sweeps and preempt running preemptible ones.
-	adm := admission.Request{Tenant: s.tenant(r, req.Tenant), Tier: admission.TierInteractive}
-	start := time.Now()
-	run := func(ctx context.Context, progress search.ProgressFunc, checkIn search.CheckInFunc) (any, error) {
-		o := opts
-		o.Progress = progress
-		o.CheckIn = checkIn
-		lr, err := search.SearchLayerCtx(ctx, l, o)
-		if err != nil {
-			return nil, err
-		}
-		resp := buildLayerResponse(lr, cfg.Name, req.Full, msSince(start))
-		resp.ServedBy = rt.servedBy
-		resp.DegradedRouting = rt.degraded
-		return resp, nil
-	}
-	if wantStream(r) {
-		s.streamSearch(w, r, req.TimeoutMS, adm, s.metrics.latency, run, func(v any) StreamEvent {
-			lr := v.(LayerResponse)
-			return StreamEvent{Event: "result", LayerResult: &lr}
-		})
-		return
-	}
-	res, err := s.search(r.Context(), req.TimeoutMS, adm, func(ctx context.Context, checkIn search.CheckInFunc) (any, error) {
-		return run(ctx, nil, checkIn)
+	s.runSearch(w, r, searchJob{
+		start: start, timeoutMS: req.TimeoutMS, opts: opts, hist: s.metrics.latency,
+		adm: admission.Request{Tenant: s.tenant(r, req.Tenant), Tier: admission.TierInteractive},
+		run: func(ctx context.Context, o search.Options) (any, error) {
+			lr, err := search.SearchLayerCtx(ctx, l, o)
+			if err != nil {
+				return nil, err
+			}
+			return buildLayerResponse(lr, opts.Arch.Name, req.Full, msSince(start), rt), nil
+		},
 	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.metrics.latency.Observe(time.Since(start))
-	writeJSON(w, http.StatusOK, res)
 }
 
 // handleNetwork serves POST /v1/schedule/network.
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	var req NetworkRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	cfg, err := resolveArch(req.Arch, req.CustomArch)
+	opts, err := s.resolveSearch(req.Arch, req.CustomArch, req.Options, req.FaultPlan)
+	var n nets.Network
+	if err == nil {
+		n, err = resolveNetwork(req.Network, req.Scale)
+	}
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if req.Network == "" {
-		s.fail(w, badf("request needs a network name"))
-		return
-	}
-	n, err := resolveNetwork(req.Network, req.Scale)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts, err := resolveOptions(req.Options, cfg)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts.FaultPlan, err = resolveFaultPlan(req.FaultPlan, cfg)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	opts.Cache = s.cache
-	opts.Workers = s.cfg.SearchParallelism
 
 	// Per-request miss counter: the cache's global Misses delta would
 	// count searches run on behalf of concurrent requests too.
@@ -427,40 +381,20 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 	// Network sweeps are the throughput-bound class: preemptible, so
 	// an interactive arrival can take their slot at the next candidate
 	// boundary (the sweep is then requeued and restarted).
-	adm := admission.Request{Tenant: s.tenant(r, req.Tenant), Tier: admission.TierBatch, Preemptible: true}
-	start := time.Now()
-	run := func(ctx context.Context, progress search.ProgressFunc, checkIn search.CheckInFunc) (any, error) {
-		// Reset the miss counter: a preempted-and-requeued run would
-		// otherwise report the aborted attempt's misses too.
-		misses.Store(0)
-		o := opts
-		o.Progress = progress
-		o.CheckIn = checkIn
-		nr, err := search.SearchNetworkCtx(ctx, n, o)
-		if err != nil {
-			return nil, err
-		}
-		resp := buildNetworkResponse(nr, int(misses.Load()), msSince(start))
-		resp.ServedBy = rt.servedBy
-		resp.DegradedRouting = rt.degraded
-		return resp, nil
-	}
-	if wantStream(r) {
-		s.streamSearch(w, r, req.TimeoutMS, adm, s.metrics.netLat, run, func(v any) StreamEvent {
-			nr := v.(NetworkResponse)
-			return StreamEvent{Event: "result", NetworkResult: &nr}
-		})
-		return
-	}
-	res, err := s.search(r.Context(), req.TimeoutMS, adm, func(ctx context.Context, checkIn search.CheckInFunc) (any, error) {
-		return run(ctx, nil, checkIn)
+	s.runSearch(w, r, searchJob{
+		start: start, timeoutMS: req.TimeoutMS, opts: opts, hist: s.metrics.netLat,
+		adm: admission.Request{Tenant: s.tenant(r, req.Tenant), Tier: admission.TierBatch, Preemptible: true},
+		run: func(ctx context.Context, o search.Options) (any, error) {
+			// Reset the miss counter: a preempted-and-requeued run would
+			// otherwise report the aborted attempt's misses too.
+			misses.Store(0)
+			nr, err := search.SearchNetworkCtx(ctx, n, o)
+			if err != nil {
+				return nil, err
+			}
+			return buildNetworkResponse(nr, int(misses.Load()), msSince(start), rt), nil
+		},
 	})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.metrics.netLat.Observe(time.Since(start))
-	writeJSON(w, http.StatusOK, res)
 }
 
 // handlePresets serves GET /v1/presets.
@@ -560,41 +494,132 @@ func (s *Server) runOnGrant(ctx context.Context, g *admission.Grant, f func(cont
 	o = searchOutcome{v, err}
 }
 
-// search runs f on the worker pool under the request's effective
-// deadline, re-enqueueing and restarting it transparently when a
-// higher-priority arrival preempts it at a candidate boundary. It
-// returns promptly when the context ends — even while f is still
-// winding down in the background, where it aborts at its next
-// cancellation or check-in and frees its slot.
-func (s *Server) search(ctx context.Context, timeoutMS int64, adm admission.Request, f func(context.Context, search.CheckInFunc) (any, error)) (any, error) {
-	ctx, cancel := context.WithTimeout(ctx, s.effectiveTimeout(timeoutMS))
+// searchJob is one resolved schedule request, ready for the runner: its
+// entry time, deadline and admission ticket, its search options, the
+// histogram its latency lands in, and run, which turns one attempt's
+// options into the response body.
+type searchJob struct {
+	start     time.Time
+	timeoutMS int64
+	adm       admission.Request
+	opts      search.Options
+	hist      *latencyHist
+	run       func(context.Context, search.Options) (any, error)
+}
+
+// runSearch is the one request pipeline behind both schedule endpoints:
+// acquire a worker slot, run one attempt on it and wait. An attempt
+// preempted at a candidate boundary is counted and re-enqueued; the
+// cache forgot its yielded entry, so it recomputes from scratch and
+// ends with the result an uninterrupted run would have produced.
+//
+// A plain request is a stream whose event channel is nil and which
+// never commits a 200 early: every failure goes through fail. A
+// ?stream=1 request reports admission failures the same way, but once
+// it holds a slot it commits to 200 + NDJSON, and later failures become
+// a terminal "error" event.
+//
+// The runner returns as soon as the context ends, even while the
+// attempt winds down in the background (it frees its slot at its next
+// check); an outcome ready at the same moment wins. Every latency — the
+// histogram, progress and result elapsed_ms — counts from j.start.
+func (s *Server) runSearch(w http.ResponseWriter, r *http.Request, j searchJob) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(j.timeoutMS))
 	defer cancel()
-	for {
-		g, err := s.acquire(ctx, adm)
+	g, err := s.acquire(ctx, j.adm)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+
+	var events chan StreamEvent // nil for a plain request: never fires
+	emit := func(StreamEvent) {}
+	finish := func(v any, err error) {
 		if err != nil {
-			return nil, err
+			s.fail(w, err)
+			return
 		}
-		ch := make(chan searchOutcome, 1)
-		go s.runOnGrant(ctx, g, f, ch)
+		writeJSON(w, http.StatusOK, v)
+	}
+	if wantStream(r) {
+		events = make(chan StreamEvent, streamEventBuffer)
+		j.opts.Progress = func(ev search.ProgressEvent) {
+			select {
+			case events <- streamProgress(ev, msSince(j.start)):
+			default: // full buffer: drop, never stall the search
+			}
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
+		w.Header().Set("X-Content-Type-Options", "nosniff")
+		w.WriteHeader(http.StatusOK)
+		enc := json.NewEncoder(w)
+		emit = func(ev StreamEvent) {
+			if ev.Event == "progress" {
+				s.metrics.progress.Add(1)
+			}
+			// A write error means the client went away; r.Context cancels
+			// the search, so just keep draining until it unwinds.
+			_ = enc.Encode(ev)
+			if f, ok := w.(http.Flusher); ok {
+				f.Flush()
+			}
+		}
+		finish = func(v any, err error) {
+			if err != nil {
+				code, body := s.errorResponse(err)
+				emit(StreamEvent{Event: "error", Status: code, Error: body.Error,
+					RetryAfterSeconds: body.RetryAfterSeconds, State: body.State})
+				return
+			}
+			emit(resultEvent(v))
+		}
+	}
+
+	attempt := func(ctx context.Context, checkIn search.CheckInFunc) (any, error) {
+		o := j.opts
+		o.CheckIn = checkIn
+		return j.run(ctx, o)
+	}
+	done := make(chan searchOutcome, 1)
+	go s.runOnGrant(ctx, g, attempt, done)
+	for {
+		var o searchOutcome
 		select {
-		case o := <-ch:
-			if errors.Is(o.err, admission.ErrPreempted) {
-				if err := ctx.Err(); err != nil {
-					// Preempted right as the deadline hit; report the
-					// deadline, not the internal yield.
-					return nil, err
-				}
-				// Preempted at a candidate boundary: the partial
-				// incumbents are gone (the cache forgot the yielded
-				// entry), so re-enqueue and recompute from scratch.
+		case ev := <-events:
+			emit(ev)
+			continue
+		case o = <-done:
+		case <-ctx.Done():
+			select {
+			case o = <-done:
+			default:
+				o.err = ctx.Err()
+			}
+		}
+		// Flush progress that raced the outcome so every buffered event
+		// precedes the next milestone.
+		for len(events) > 0 {
+			emit(<-events)
+		}
+		if errors.Is(o.err, admission.ErrPreempted) {
+			// A yield right as the deadline hit reports the deadline;
+			// otherwise re-enqueue, and a failure to re-acquire is the
+			// request's outcome.
+			if o.err = ctx.Err(); o.err == nil {
 				s.metrics.preempted.Add(1)
 				s.metrics.requeued.Add(1)
-				continue
+				emit(StreamEvent{Event: "progress", Preempted: true, ElapsedMS: msSince(j.start)})
+				if g, o.err = s.acquire(ctx, j.adm); o.err == nil {
+					go s.runOnGrant(ctx, g, attempt, done)
+					continue
+				}
 			}
-			return o.v, o.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
+		if o.err == nil {
+			j.hist.Observe(time.Since(j.start))
+		}
+		finish(o.v, o.err)
+		return
 	}
 }
 
@@ -656,42 +681,49 @@ func (s *Server) state() *ServerStateJSON {
 	}
 }
 
-// fail maps an error to its HTTP status: 400 for malformed requests,
-// 429 for shed load (with a Retry-After header and the tenant's queue
-// view), 500 for a panicking search, 504 for deadlines, 499-style
-// client-closed for cancellations, and 422 for well-formed requests
-// the search cannot satisfy. Shed and timed-out responses carry the
-// queue/cache state so clients can degrade gracefully.
-func (s *Server) fail(w http.ResponseWriter, err error) {
+// errorResponse is the one status table of the schedule endpoints: 400
+// for malformed requests, 429 for shed load (with the tenant's queue
+// view), 500 for a panicking search, 504 for deadlines, nginx's 499 for
+// a client that went away, and 422 for well-formed requests the search
+// cannot satisfy. Shed and timed-out bodies carry the queue/cache state
+// so clients can degrade gracefully.
+func (s *Server) errorResponse(err error) (int, ErrorResponse) {
 	var bad badRequestError
 	var over overloadedError
 	var pan panicError
 	switch {
 	case errors.As(err, &bad):
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: bad.Error()})
+		return http.StatusBadRequest, ErrorResponse{Error: bad.Error()}
 	case errors.As(err, &over):
-		secs := int(math.Ceil(over.retryAfter.Seconds()))
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		st := s.state()
-		st.Tenant = tenantState(over.queue)
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+		st, qf := s.state(), over.queue
+		st.Tenant = &TenantStateJSON{Name: qf.Tenant, Queued: qf.Queued, QueueLimit: qf.Limit, Position: qf.Position}
+		return http.StatusTooManyRequests, ErrorResponse{
 			Error:             "server overloaded: schedule queue is full; retry after the advertised delay",
-			RetryAfterSeconds: secs,
+			RetryAfterSeconds: int(math.Ceil(over.retryAfter.Seconds())),
 			State:             st,
-		})
+		}
 	case errors.As(err, &pan):
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: pan.Error()})
+		return http.StatusInternalServerError, ErrorResponse{Error: pan.Error()}
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, ErrorResponse{
+		return http.StatusGatewayTimeout, ErrorResponse{
 			Error: "search timed out; retry with a larger timeout_ms or budget=quick",
 			State: s.state(),
-		})
+		}
 	case errors.Is(err, context.Canceled):
-		// Client went away; 499 is nginx's convention for it.
-		writeJSON(w, 499, ErrorResponse{Error: "request cancelled"})
+		return 499, ErrorResponse{Error: "request cancelled"}
 	default:
-		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()})
+		return http.StatusUnprocessableEntity, ErrorResponse{Error: err.Error()}
 	}
+}
+
+// fail writes err as a plain JSON error response, with a Retry-After
+// header on 429s.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	code, body := s.errorResponse(err)
+	if code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(body.RetryAfterSeconds))
+	}
+	writeJSON(w, code, body)
 }
 
 // methodNotAllowed writes a 405 with the allowed method advertised.

@@ -9,18 +9,13 @@ package serve
 // returned. The stream is flushed after every event, so clients
 // watching a default-budget search see candidates-evaluated and
 // per-layer completion in near real time instead of minutes of
-// silence. The wire format is documented in docs/API.md.
+// silence. Server.runSearch drives both modes; the wire format is
+// documented in docs/API.md.
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
-	"math"
 	"net/http"
-	"time"
 
 	"github.com/flexer-sched/flexer/internal/search"
-	"github.com/flexer-sched/flexer/internal/serve/admission"
 )
 
 // StreamEvent is one NDJSON line of a ?stream=1 response. Event is
@@ -77,125 +72,6 @@ func wantStream(r *http.Request) bool {
 // terminal result always goes out.
 const streamEventBuffer = 256
 
-// streamSearch runs one schedule search on the worker pool and streams
-// its progress as NDJSON. Admission failures (shed load, a deadline
-// spent queueing) are still reported as plain JSON errors with their
-// real HTTP status; once a worker slot is held the response commits to
-// 200 + NDJSON and any later failure becomes a terminal "error" event.
-// A preemption by a higher-priority request is reported as a progress
-// event with "preempted": true; the search re-enqueues, restarts when
-// its tenant gets a slot again, and still ends with the normal
-// terminal event.
-func (s *Server) streamSearch(w http.ResponseWriter, r *http.Request, timeoutMS int64, adm admission.Request, hist *latencyHist,
-	run func(context.Context, search.ProgressFunc, search.CheckInFunc) (any, error), result func(any) StreamEvent) {
-	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(timeoutMS))
-	defer cancel()
-	g, err := s.acquire(ctx, adm)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-
-	start := time.Now()
-	events := make(chan StreamEvent, streamEventBuffer)
-	progress := func(ev search.ProgressEvent) {
-		select {
-		case events <- streamProgress(ev, msSince(start)):
-		default: // full buffer: drop, never stall the search
-		}
-	}
-	done := make(chan searchOutcome, 1)
-	attempt := func(ctx context.Context, checkIn search.CheckInFunc) (any, error) {
-		return run(ctx, progress, checkIn)
-	}
-	go s.runOnGrant(ctx, g, attempt, done)
-
-	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	emit := func(ev StreamEvent) {
-		if ev.Event == "progress" {
-			s.metrics.progress.Add(1)
-		}
-		// A write error means the client went away; r.Context cancels
-		// the search, so just keep draining until it unwinds.
-		_ = enc.Encode(ev)
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
-	drain := func() {
-		// Flush progress that raced the completion so every buffered
-		// event precedes the next milestone.
-		for {
-			select {
-			case ev := <-events:
-				emit(ev)
-				continue
-			default:
-			}
-			break
-		}
-	}
-
-	// finish handles one attempt's outcome; it reports whether the
-	// stream is over (false = the search was preempted and restarted).
-	finish := func(o searchOutcome) bool {
-		drain()
-		if errors.Is(o.err, admission.ErrPreempted) && ctx.Err() == nil {
-			// Preempted at a candidate boundary: tell the client, then
-			// re-enqueue. The 200 is already committed, so a failure to
-			// re-acquire becomes a terminal error event.
-			s.metrics.preempted.Add(1)
-			s.metrics.requeued.Add(1)
-			emit(StreamEvent{Event: "progress", Preempted: true, ElapsedMS: msSince(start)})
-			g, err := s.acquire(ctx, adm)
-			if err != nil {
-				emit(s.streamError(err))
-				return true
-			}
-			go s.runOnGrant(ctx, g, attempt, done)
-			return false
-		}
-		if o.err != nil {
-			if errors.Is(o.err, admission.ErrPreempted) {
-				// Preempted right as the deadline hit; report the
-				// deadline, not the internal yield.
-				o.err = ctx.Err()
-			}
-			emit(s.streamError(o.err))
-			return true
-		}
-		hist.Observe(time.Since(start))
-		emit(result(o.v))
-		return true
-	}
-	for {
-		select {
-		case ev := <-events:
-			emit(ev)
-		case o := <-done:
-			if finish(o) {
-				return
-			}
-		case <-ctx.Done():
-			// A finished search can make both cases ready at once;
-			// prefer its outcome over a spurious cancellation error.
-			select {
-			case o := <-done:
-				finish(o)
-			default:
-				// Deadline or client cancellation while the search is
-				// still winding down; it frees its slot at the next
-				// check.
-				emit(s.streamError(ctx.Err()))
-			}
-			return
-		}
-	}
-}
-
 // streamProgress converts a search progress event to its wire form.
 func streamProgress(ev search.ProgressEvent, elapsedMS float64) StreamEvent {
 	return StreamEvent{
@@ -213,36 +89,15 @@ func streamProgress(ev search.ProgressEvent, elapsedMS float64) StreamEvent {
 	}
 }
 
-// streamError maps a search failure to a terminal error event, using
-// the same status taxonomy as the non-streaming fail path.
-func (s *Server) streamError(err error) StreamEvent {
-	ev := StreamEvent{Event: "error"}
-	var bad badRequestError
-	var over overloadedError
-	var pan panicError
-	switch {
-	case errors.As(err, &bad):
-		ev.Status = http.StatusBadRequest
-		ev.Error = bad.Error()
-	case errors.As(err, &over):
-		ev.Status = http.StatusTooManyRequests
-		ev.Error = "server overloaded: schedule queue is full; retry after the advertised delay"
-		ev.RetryAfterSeconds = int(math.Ceil(over.retryAfter.Seconds()))
-		ev.State = s.state()
-		ev.State.Tenant = tenantState(over.queue)
-	case errors.As(err, &pan):
-		ev.Status = http.StatusInternalServerError
-		ev.Error = pan.Error()
-	case errors.Is(err, context.DeadlineExceeded):
-		ev.Status = http.StatusGatewayTimeout
-		ev.Error = "search timed out; retry with a larger timeout_ms or budget=quick"
-		ev.State = s.state()
-	case errors.Is(err, context.Canceled):
-		ev.Status = 499
-		ev.Error = "request cancelled"
-	default:
-		ev.Status = http.StatusUnprocessableEntity
-		ev.Error = err.Error()
+// resultEvent wraps a finished response body in the terminal stream
+// event of its endpoint.
+func resultEvent(v any) StreamEvent {
+	ev := StreamEvent{Event: "result"}
+	switch v := v.(type) {
+	case LayerResponse:
+		ev.LayerResult = &v
+	case NetworkResponse:
+		ev.NetworkResult = &v
 	}
 	return ev
 }

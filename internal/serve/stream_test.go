@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"github.com/flexer-sched/flexer/internal/serve/admission"
 )
 
 // readStream decodes every NDJSON event of a ?stream=1 response.
@@ -287,5 +290,72 @@ func TestClientStreamRoundTrip(t *testing.T) {
 	_, err = c.ScheduleNetworkStream(ctx, NetworkRequest{Network: "nope"}, nil)
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Fatalf("streamed bad request = %v, want *APIError with 400", err)
+	}
+}
+
+// TestStreamLatencyCountsQueueWait checks the single latency clock: a
+// streamed request queued behind a held worker slot records at least
+// its queue wait in search_latency_ms, and its progress and result
+// elapsed_ms count from the same request entry.
+func TestStreamLatencyCountsQueueWait(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	body := `{"arch": "arch1", "shape": ` + smallShape + `}`
+	// Warm the cache so the streamed request's own search is a hit and
+	// nearly all of its latency is the queue wait.
+	if resp := postJSON(t, ts.URL+"/v1/schedule/layer", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up POST = %d", resp.StatusCode)
+	}
+	sumMS := func() float64 {
+		h := srv.metrics.latency
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return h.sumMS
+	}
+	before := sumMS()
+
+	held, err := srv.admit.Acquire(context.Background(), admission.Request{Tenant: "holder"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		// The 200 and its headers are committed only once the request
+		// holds a slot, so Post returns after the release below.
+		resp, err := http.Post(ts.URL+"/v1/schedule/layer?stream=1", "application/json", strings.NewReader(body))
+		done <- result{resp, err}
+	}()
+	waitFor(t, "streamed request to queue", func() bool { return srv.admit.Stats().Queued == 1 })
+	const hold = 200 * time.Millisecond
+	time.Sleep(hold)
+	held.Release()
+
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	defer res.resp.Body.Close()
+	events := readStream(t, res.resp.Body)
+	if len(events) == 0 {
+		t.Fatal("empty stream")
+	}
+	holdMS := float64(hold / time.Millisecond)
+	for _, ev := range events {
+		if ev.Event == "progress" && ev.ElapsedMS < holdMS {
+			t.Errorf("progress elapsed_ms = %.1f, want >= %.0f (queue wait)", ev.ElapsedMS, holdMS)
+		}
+	}
+	last := events[len(events)-1]
+	if last.Event != "result" || last.LayerResult == nil {
+		t.Fatalf("terminal event = %+v, want a layer result", last)
+	}
+	if last.LayerResult.ElapsedMS < holdMS {
+		t.Errorf("result elapsed_ms = %.1f, want >= %.0f (queue wait)", last.LayerResult.ElapsedMS, holdMS)
+	}
+	if got := sumMS() - before; got < holdMS {
+		t.Errorf("search_latency_ms grew by %.1f ms, want >= %.0f (queue wait)", got, holdMS)
 	}
 }

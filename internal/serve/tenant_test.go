@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -296,21 +295,29 @@ func TestStreamPreemptionEndToEnd(t *testing.T) {
 }
 
 // TestPanicReleasesSlot checks the panic-safe release path: a search
-// that panics becomes a 500-mapped panicError, the worker slot comes
-// back, and the next request runs normally.
+// that panics becomes a 500 carrying the panic value, the worker slot
+// comes back, and the next request runs normally.
 func TestPanicReleasesSlot(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
-	adm := admission.Request{Tenant: "t", Tier: admission.TierInteractive}
+	run := func(f func(context.Context, search.Options) (any, error)) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.runSearch(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule/layer", nil), searchJob{
+			start: time.Now(),
+			adm:   admission.Request{Tenant: "t", Tier: admission.TierInteractive},
+			hist:  srv.metrics.latency,
+			run:   f,
+		})
+		return rec
+	}
 
-	_, err := srv.search(context.Background(), 0, adm, func(context.Context, search.CheckInFunc) (any, error) {
+	rec := run(func(context.Context, search.Options) (any, error) {
 		panic("kaboom")
 	})
-	var pan panicError
-	if !errors.As(err, &pan) {
-		t.Fatalf("panicking search returned %v, want panicError", err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("panicking search wrote %d, want 500", rec.Code)
 	}
-	if !strings.Contains(pan.Error(), "kaboom") {
-		t.Errorf("panicError = %q, want the panic value", pan.Error())
+	if !strings.Contains(rec.Body.String(), "kaboom") {
+		t.Errorf("500 body = %q, want the panic value", rec.Body.String())
 	}
 	if got := srv.metrics.panics.Value(); got != 1 {
 		t.Errorf("search_panics_total = %d, want 1", got)
@@ -320,18 +327,11 @@ func TestPanicReleasesSlot(t *testing.T) {
 	}
 
 	// The single slot must be back: a normal search completes.
-	v, err := srv.search(context.Background(), 0, adm, func(context.Context, search.CheckInFunc) (any, error) {
+	rec = run(func(context.Context, search.Options) (any, error) {
 		return "ok", nil
 	})
-	if err != nil || v != "ok" {
-		t.Fatalf("post-panic search = %v, %v; want ok (slot leaked?)", v, err)
-	}
-
-	// And fail maps it to 500 for HTTP clients.
-	rec := httptest.NewRecorder()
-	srv.fail(rec, pan)
-	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("fail(panicError) wrote %d, want 500", rec.Code)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok"`) {
+		t.Fatalf("post-panic search = %d %q; want 200 ok (slot leaked?)", rec.Code, rec.Body.String())
 	}
 }
 

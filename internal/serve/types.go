@@ -357,20 +357,6 @@ type TenantStateJSON struct {
 	Position int `json:"position"`
 }
 
-// tenantState converts an admission shed error into the wire view
-// attached to 429 bodies; nil stays nil.
-func tenantState(qf *admission.QueueFullError) *TenantStateJSON {
-	if qf == nil {
-		return nil
-	}
-	return &TenantStateJSON{
-		Name:       qf.Tenant,
-		Queued:     qf.Queued,
-		QueueLimit: qf.Limit,
-		Position:   qf.Position,
-	}
-}
-
 // overloadedError is returned by the admission check when the tenant's
 // schedule queue is full; the handler maps it to 429 with a
 // Retry-After header and the tenant's queue view.
@@ -422,6 +408,23 @@ func resolveArch(preset string, custom *ArchJSON) (arch.Config, error) {
 		return arch.Config{}, badf("%v", err)
 	}
 	return cfg, nil
+}
+
+// resolveSearch resolves what layer and network requests share — the
+// hardware, the option block and the fault plan — and installs the
+// server-owned Cache and Workers.
+func (s *Server) resolveSearch(preset string, custom *ArchJSON, o SearchOptionsJSON, plan *fault.Plan) (search.Options, error) {
+	cfg, err := resolveArch(preset, custom)
+	if err != nil {
+		return search.Options{}, err
+	}
+	opts, err := resolveOptions(o, cfg)
+	if err == nil {
+		opts.FaultPlan, err = resolveFaultPlan(plan, cfg)
+	}
+	opts.Cache = s.cache
+	opts.Workers = s.cfg.SearchParallelism
+	return opts, err
 }
 
 // resolveOptions translates the wire option block into search.Options
@@ -515,6 +518,9 @@ func resolveLayer(req LayerRequest) (layer.Conv, error) {
 
 // resolveNetwork picks and optionally down-scales a built-in network.
 func resolveNetwork(name string, scale int) (nets.Network, error) {
+	if name == "" {
+		return nets.Network{}, badf("request needs a network name")
+	}
 	n, err := nets.ByName(name)
 	if err != nil {
 		return nets.Network{}, badf("%v", err)
@@ -529,7 +535,7 @@ func resolveNetwork(name string, scale int) (nets.Network, error) {
 }
 
 // buildLayerResponse converts a search result into the wire form.
-func buildLayerResponse(lr *search.LayerResult, archName string, full bool, elapsedMS float64) LayerResponse {
+func buildLayerResponse(lr *search.LayerResult, archName string, full bool, elapsedMS float64, rt routeInfo) LayerResponse {
 	resp := LayerResponse{
 		Layer:            lr.Layer.Name,
 		Arch:             archName,
@@ -540,6 +546,8 @@ func buildLayerResponse(lr *search.LayerResult, archName string, full bool, elap
 		Speedup:          lr.Speedup(),
 		TrafficReduction: lr.TrafficReduction(),
 		ElapsedMS:        elapsedMS,
+		ServedBy:         rt.servedBy,
+		DegradedRouting:  rt.degraded,
 	}
 	if lr.Degraded != nil {
 		deg := trace.Build(lr.Degraded, full)
@@ -551,7 +559,7 @@ func buildLayerResponse(lr *search.LayerResult, archName string, full bool, elap
 
 // buildNetworkResponse converts a network search result into the wire
 // form.
-func buildNetworkResponse(nr *search.NetworkResult, distinct int, elapsedMS float64) NetworkResponse {
+func buildNetworkResponse(nr *search.NetworkResult, distinct int, elapsedMS float64, rt routeInfo) NetworkResponse {
 	resp := NetworkResponse{
 		Network:             nr.Network,
 		Arch:                nr.Arch,
@@ -559,6 +567,8 @@ func buildNetworkResponse(nr *search.NetworkResult, distinct int, elapsedMS floa
 		TrafficReduction:    nr.TrafficReduction(),
 		ElapsedMS:           elapsedMS,
 		DistinctLayerShapes: distinct,
+		ServedBy:            rt.servedBy,
+		DegradedRouting:     rt.degraded,
 	}
 	for _, lr := range nr.Layers {
 		row := NetworkLayerJSON{
